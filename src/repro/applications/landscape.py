@@ -45,9 +45,6 @@ class EnergyLandscape:
     def energies(self) -> np.ndarray:
         return np.array([point.energy for point in self.points])
 
-    def exact_energies(self) -> np.ndarray:
-        return np.array([point.exact_energy for point in self.points])
-
 
 def run_landscape(
     suite: BenchmarkSuite,

@@ -155,8 +155,7 @@ class IndependentVQABaseline:
             # no-extra-state-preparation bookkeeping as the TreeVQA clusters
             # (whose recombined mixed loss equals this same quantity).
             energy = step.loss
-            if self.config.record_trajectory:
-                trajectory.record(task_shots, energy)
+            trajectory.record(task_shots, energy)
             if energy < best_energy:
                 best_energy = energy
                 best_parameters = step.parameters

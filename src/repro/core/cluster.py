@@ -29,7 +29,7 @@ from ..quantum.sampling import BaseEstimator, EstimatorResult
 from ..quantum.statevector import Statevector
 from .config import TreeVQAConfig
 from .mixed_hamiltonian import MixedHamiltonian, build_mixed_hamiltonian
-from .monitor import SlopeMonitor, SlopeReport
+from .monitor import SlopeMonitor
 from .shots import shots_per_evaluation
 from .similarity import similarity_matrix
 from .splitting import SplitDecision, assign_split_groups, evaluate_split_condition
@@ -368,14 +368,10 @@ class VQACluster:
 
     # -- splitting -----------------------------------------------------------------
 
-    def slope_report(self) -> SlopeReport:
-        """Current sliding-window slope report."""
-        return self.monitor.report()
-
     def split_decision(self) -> SplitDecision:
         """Evaluate the §5.2.3 split conditions for this cluster."""
-        if self.num_tasks <= self.config.min_cluster_size:
-            return SplitDecision.no_split("cluster at minimum size")
+        if self.num_tasks <= 1:
+            return SplitDecision.no_split("singleton cluster")
         if self.config.forced_split_iteration is not None:
             # Forced splits (the §9.1 split-timing study) apply to root-level
             # clusters only, so exactly one split happens per root.
@@ -386,8 +382,6 @@ class VQACluster:
             return SplitDecision.no_split("before forced split point")
         if self.config.disable_automatic_splits:
             return SplitDecision.no_split("automatic splits disabled")
-        if self.iterations % self.config.split_check_every != 0:
-            return SplitDecision.no_split("not a split-check iteration")
         return evaluate_split_condition(
             self.monitor.report(),
             self.config.epsilon_split,
@@ -405,7 +399,7 @@ class VQACluster:
         assert self._similarity is not None
         groups = assign_split_groups(
             self._similarity,
-            num_groups=min(self.config.num_split_children, self.num_tasks),
+            num_groups=2,  # the paper's binary split
             seed=self.config.seed if seed is None else seed,
         )
         children = []

@@ -43,6 +43,13 @@ _ESTIMATORS: dict[str, type[BaseEstimator]] = {
 class TreeVQAConfig:
     """Execution configuration shared by TreeVQA and the baseline.
 
+    The process-wide program and measurement-plan caches are shared by every
+    run in the process, so they are sized there, not per run: call
+    :func:`~repro.quantum.program.set_program_cache_limit` /
+    :func:`~repro.quantum.measurement.set_measurement_plan_cache_limit`.
+    Every controller result reports its own cache activity under
+    ``metadata["program_cache"]`` / ``metadata["measurement_plan_cache"]``.
+
     Attributes:
         max_total_shots: Global shot budget S_max (Algorithm 1).  ``None``
             (default) means "until max_rounds"; must be ≥ 1 when set.  A
@@ -69,13 +76,6 @@ class TreeVQAConfig:
             Must be finite: a NaN would silently disable divergence-based
             splits (``slope > nan`` is always False), so non-finite values
             are rejected at construction time.
-        split_check_every: Check the split condition every k iterations.
-            Default 1; must be ≥ 1.
-        num_split_children: Number of children per split (default 2, as in
-            the paper; must be ≥ 2 and is capped at the cluster size when a
-            split fires).
-        min_cluster_size: Clusters at or below this size never split.
-            Default 1 (singletons never split regardless); must be ≥ 1.
         optimizer: ``"spsa"`` (default) or ``"cobyla"``; validated against
             the registry unless ``optimizer_factory`` is supplied (a factory
             makes the name moot).
@@ -165,32 +165,6 @@ class TreeVQAConfig:
             reaped.  Jobs submitted to a service must leave this unset too —
             the deadline is a property of the shared pool, set at service
             construction.
-        program_cache_size: LRU capacity of the persistent (process-wide)
-            circuit-program cache.  ``None`` (default) leaves the current
-            process-wide limit untouched; a value *grows* the limit via
-            :func:`~repro.quantum.program.set_program_cache_limit` when a
-            controller is constructed.  The cache is shared by every live
-            controller and job in the process, so a controller never
-            *shrinks* it (that would evict a concurrent run's compiled
-            programs mid-flight): a value below the current limit is ignored
-            with an actionable ``RuntimeWarning`` — shrink deliberately via
-            ``set_program_cache_limit`` or by sizing the cache on the owning
-            :class:`~repro.service.TreeVQAService`.  See
-            :func:`~repro.quantum.program.program_cache_stats` for hit/miss
-            statistics (a per-run delta is attached to every controller
-            result under ``metadata["program_cache"]``; with overlapping
-            runs the delta is clamped at ≥ 0 and labelled ``"shared"``).
-        measurement_plan_cache_size: LRU capacity of the persistent
-            (process-wide) measurement-plan cache used by the ``sampling``
-            estimator (compile-once QWC grouping, basis rotations, and
-            support masks per operator fingerprint).  ``None`` (default)
-            leaves the current process-wide limit untouched; a value grows
-            the limit via
-            :func:`~repro.quantum.measurement.set_measurement_plan_cache_limit`
-            at controller construction — never shrinks it, with the same
-            shared-cache warning semantics as ``program_cache_size`` — and a
-            per-run stats delta is attached under
-            ``metadata["measurement_plan_cache"]`` when the run used plans.
         forced_split_iteration: §9.1 study — force exactly one split (per
             root cluster) at this cluster iteration.  Default ``None``
             (condition-based splitting); must be ≥ 1 when set (the trigger
@@ -198,9 +172,6 @@ class TreeVQAConfig:
             values would force the split before any optimization happened).
         disable_automatic_splits: §9.1 study — suppress condition-based
             splits (default False).
-        record_trajectory: Record per-task energy/shots trajectories
-            (default True; needed by every figure; disable only for
-            micro-benchmarks).
         seed: Seed for optimizers, estimators and spectral clustering
             (default 0; ``None`` draws fresh OS entropy — runs are then not
             reproducible and the parity guarantees above become
@@ -217,9 +188,6 @@ class TreeVQAConfig:
     window_size: int = 10
     epsilon_split: float = 1e-3
     individual_slope_threshold: float = 0.0
-    split_check_every: int = 1
-    num_split_children: int = 2
-    min_cluster_size: int = 1
     optimizer: str = "spsa"
     optimizer_kwargs: dict = field(default_factory=dict)
     optimizer_factory: Callable[[], IterativeOptimizer] | None = None
@@ -235,11 +203,8 @@ class TreeVQAConfig:
     max_batch_size: int | None = None
     execution_workers: int | None = None
     worker_timeout_s: float | None = None
-    program_cache_size: int | None = None
-    measurement_plan_cache_size: int | None = None
     forced_split_iteration: int | None = None
     disable_automatic_splits: bool = False
-    record_trajectory: bool = True
     seed: int | None = 0
 
     def __post_init__(self) -> None:
@@ -259,12 +224,6 @@ class TreeVQAConfig:
             # A NaN here would silently disable divergence splits: every
             # ``slope > threshold`` comparison is False against NaN.
             raise ValueError("individual_slope_threshold must be finite")
-        if self.num_split_children < 2:
-            raise ValueError("num_split_children must be >= 2")
-        if self.min_cluster_size < 1:
-            raise ValueError("min_cluster_size must be >= 1")
-        if self.split_check_every < 1:
-            raise ValueError("split_check_every must be >= 1")
         if self.forced_split_iteration is not None and self.forced_split_iteration < 1:
             raise ValueError("forced_split_iteration must be >= 1 when set")
         if self.seed is not None and self.seed < 0:
@@ -352,13 +311,6 @@ class TreeVQAConfig:
                     "worker_timeout_s requires execution_workers (the deadline "
                     "bounds worker shard replies; in-process execution has none)"
                 )
-        if self.program_cache_size is not None and self.program_cache_size < 1:
-            raise ValueError("program_cache_size must be >= 1 when set")
-        if (
-            self.measurement_plan_cache_size is not None
-            and self.measurement_plan_cache_size < 1
-        ):
-            raise ValueError("measurement_plan_cache_size must be >= 1 when set")
 
     # -- factories -------------------------------------------------------------
 

@@ -29,14 +29,12 @@ directly so many controllers can interleave their rounds on **one** shared
 :class:`~repro.quantum.parallel.ParallelBackend` pool.  Ownership is
 explicit: a controller closes only execution resources it created itself —
 a backend passed in via the ``backend=`` argument belongs to the caller and
-is never closed (or shrunk, see the cache-limit rules below) by a finishing
-run.
+is never closed by a finishing run.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
@@ -45,12 +43,8 @@ import numpy as np
 
 from ..ansatz.base import Ansatz
 from ..quantum.backend import ExecutionBackend
-from ..quantum.measurement import (
-    measurement_plan_cache_stats,
-    set_measurement_plan_cache_limit,
-)
-from ..quantum.pauli_propagation import conjugation_cache_stats
-from ..quantum.program import program_cache_stats, set_program_cache_limit
+from ..quantum.measurement import measurement_plan_cache_stats
+from ..quantum.program import program_cache_stats
 from .cluster import ClusterStepRecord, VQACluster
 from .config import TreeVQAConfig
 from .postprocess import select_best_states
@@ -76,6 +70,22 @@ _LIVE_LOCK = threading.Lock()
 #: Cache-stat keys that are cumulative counters (reported as per-run deltas);
 #: the remaining keys (``size``, ``limit``) are point-in-time values.
 _COUNTER_KEYS = ("hits", "misses", "evictions")
+#: Worker-pool fault-handling counters, reported as ``metadata["transport"]``.
+_TRANSPORT_COUNTERS = (
+    "shard_retries",
+    "worker_respawns",
+    "deadline_timeouts",
+    "fallback_shards",
+    "fallback_batches",
+)
+#: Every cumulative worker-pool counter of ``worker_cache_stats()``.
+_WORKER_COUNTERS = (
+    "shards_dispatched",
+    "programs_shipped",
+    "program_reuses",
+    "states_shipped",
+    *_TRANSPORT_COUNTERS,
+)
 
 
 def _clamped_delta(now: dict, baseline: dict, counters) -> dict:
@@ -114,32 +124,6 @@ def _register_controller(controller: "TreeVQAController") -> None:
 def _unregister_controller(controller: "TreeVQAController") -> None:
     with _LIVE_LOCK:
         _LIVE_CONTROLLERS.discard(controller)
-
-
-def _apply_cache_limit_request(
-    kind: str, requested: int, current_limit: int, setter
-) -> None:
-    """Apply a config-requested cache limit without clobbering co-tenants.
-
-    The program / measurement-plan caches are **process-wide**: shrinking one
-    from a controller would evict a concurrent run's entries mid-flight (the
-    shared-pool service multiplexes many controllers onto these caches).  A
-    controller may therefore only *grow* a cache; a shrink request is ignored
-    with an actionable warning naming the deliberate paths.
-    """
-    if requested > current_limit:
-        setter(requested)
-    elif requested < current_limit:
-        warnings.warn(
-            f"ignoring {kind} cache limit {requested}: the process-wide cache "
-            f"already holds up to {current_limit} entries and is shared by "
-            "every live controller and job, so shrinking it here would evict "
-            "a concurrent run's compiled entries mid-flight; to shrink it "
-            f"deliberately call {setter.__name__}({requested}) directly, or "
-            "size the cache on the owning TreeVQAService",
-            RuntimeWarning,
-            stacklevel=4,
-        )
 
 
 @dataclass(frozen=True)
@@ -202,39 +186,22 @@ class TreeVQAController:
         self.config = config or TreeVQAConfig()
         self._initial_parameters = initial_parameters
         # The program / measurement-plan caches are process-wide and shared
-        # by every live controller and job.  A config knob may only *grow*
-        # them here: silently shrinking would evict a concurrent run's
-        # compiled entries mid-flight (only the cache owner — the process,
-        # or a TreeVQAService — may shrink deliberately).  Stats are
-        # snapshotted so result metadata reports this run's cache activity
-        # as a delta, clamped and labelled below when runs overlap.
-        if self.config.program_cache_size is not None:
-            _apply_cache_limit_request(
-                "program",
-                self.config.program_cache_size,
-                program_cache_stats()["limit"],
-                set_program_cache_limit,
-            )
-        if self.config.measurement_plan_cache_size is not None:
-            _apply_cache_limit_request(
-                "measurement-plan",
-                self.config.measurement_plan_cache_size,
-                measurement_plan_cache_stats()["limit"],
-                set_measurement_plan_cache_limit,
-            )
+        # by every live controller and job.  Their stats are snapshotted so
+        # result metadata reports this run's cache activity as a delta,
+        # clamped and labelled below when runs overlap.
         self._program_cache_baseline = program_cache_stats()
         self._measurement_plan_cache_baseline = measurement_plan_cache_stats()
-        self._conjugation_cache_baseline = conjugation_cache_stats()
         self.estimator = self.config.make_estimator()
         #: Whether this controller created (and therefore closes) its
         #: backend.  A caller-supplied backend — the service's shared pool —
         #: is never closed by a finishing run.
         self.owns_backend = backend is None
         self.backend = self.config.make_backend() if backend is None else backend
-        #: Fault-tolerance counter snapshot of a (possibly shared) worker
-        #: pool at construction, so this run's transport metadata reports its
-        #: own fault-handling events, not the pool's lifetime totals.
-        self._transport_baseline = self._transport_counters()
+        #: Snapshot of a (possibly shared) worker pool's counters at
+        #: construction (None without a pool), so this run's worker and
+        #: transport metadata report its own activity, not the pool's
+        #: lifetime totals.
+        self._worker_baseline = self._worker_stats()
         self.scheduler = RoundScheduler(
             self.backend,
             self.estimator,
@@ -403,10 +370,9 @@ class TreeVQAController:
         def on_record(cluster: VQACluster, record) -> bool:
             self.ledger.charge(cluster.cluster_id, self._rounds_completed, record.shots)
             self.tree.record_iteration(cluster.cluster_id, record.shots)
-            if self.config.record_trajectory:
-                total = self.ledger.total
-                for task_name, energy in record.individual_losses.items():
-                    self.trajectories[task_name].record(total, energy)
+            total = self.ledger.total
+            for task_name, energy in record.individual_losses.items():
+                self.trajectories[task_name].record(total, energy)
             # A False return stops the round: clusters the scheduler has not
             # told yet stay un-stepped, like the sequential loop's break.
             return not self._budget_exhausted()
@@ -448,52 +414,21 @@ class TreeVQAController:
             delta["shared"] = True
         return delta
 
-    def _program_cache_delta(self) -> dict[str, int | dict[str, int]]:
-        """This run's program-cache activity.  Under multi-process
-        execution the backend's worker-pool program-shipping stats ride
-        along under a ``"workers"`` sub-key, so cache behaviour on both
-        sides of the process boundary lands in one metadata entry."""
-        delta: dict = self._cache_delta(
-            program_cache_stats(), self._program_cache_baseline
-        )
+    def _worker_stats(self) -> dict | None:
+        """The backend pool's :meth:`~repro.quantum.parallel.ParallelBackend.
+        worker_cache_stats` (None when the backend has no worker pool)."""
         worker_stats = getattr(self.backend, "worker_cache_stats", None)
-        if worker_stats is not None:
-            delta["workers"] = worker_stats()
-        return delta
+        return None if worker_stats is None else worker_stats()
 
-    _TRANSPORT_COUNTERS = (
-        "shard_retries",
-        "worker_respawns",
-        "deadline_timeouts",
-        "fallback_shards",
-        "fallback_batches",
-    )
-
-    def _transport_counters(self) -> dict[str, int] | None:
-        """The backend pool's fault-tolerance counters (None when the backend
-        has no worker pool)."""
-        worker_stats = getattr(self.backend, "worker_cache_stats", None)
-        if worker_stats is None:
+    def _worker_delta(self) -> dict | None:
+        """This run's worker-pool counters as deltas against the
+        construction-time snapshot (None without a pool); the other fields
+        (pool size, transport name, per-worker breakdown) are as read now."""
+        if self._worker_baseline is None:
             return None
-        stats = worker_stats()
-        return {key: stats.get(key, 0) for key in self._TRANSPORT_COUNTERS}
-
-    def _transport_metadata(self) -> dict[str, int] | None:
-        """This run's worker-fault handling (retries, respawns, deadline
-        reaps, in-process fallbacks) as deltas against the construction-time
-        snapshot, or None when the run saw no faults — the common case stays
-        out of the metadata, and a shared service pool's earlier incidents
-        are not billed to this job."""
-        if self._transport_baseline is None:
-            return None
-        delta = _clamped_delta(
-            self._transport_counters(),
-            self._transport_baseline,
-            self._TRANSPORT_COUNTERS,
+        return _clamped_delta(
+            self._worker_stats(), self._worker_baseline, _WORKER_COUNTERS
         )
-        if not any(delta.values()):
-            return None
-        return delta
 
     def _measurement_plan_cache_delta(self) -> dict[str, int] | None:
         """This run's measurement-plan-cache activity, or None when the run
@@ -507,16 +442,10 @@ class TreeVQAController:
 
     def _propagation_metadata(self) -> dict | None:
         """Propagation observability for the run, or None when nothing
-        propagated: truncation counts summed from per-result metadata (which
-        rides the wire, so the totals are worker-count independent) plus this
-        run's conjugation-cache activity."""
+        propagated: truncation counts summed from per-result metadata, which
+        rides the wire, so the totals are worker-count independent."""
         totals = dict(self.scheduler.backend_metadata_totals)
-        if not totals:
-            return None
-        totals["conjugation_cache"] = self._cache_delta(
-            conjugation_cache_stats(), self._conjugation_cache_baseline
-        )
-        return totals
+        return totals or None
 
     def _assemble_result(self) -> TreeVQAResult:
         """Post-processing (§5.3) and result assembly."""
@@ -548,6 +477,18 @@ class TreeVQAController:
                     error=task.error(selection.energy),
                 )
             )
+        # Under multi-process execution this run's worker-pool counters ride
+        # along in the program-cache entry, so cache behaviour on both sides
+        # of the process boundary lands in one place; the fault-handling
+        # subset is surfaced as "transport" only when an event fired.
+        program_cache = self._cache_delta(
+            program_cache_stats(), self._program_cache_baseline
+        )
+        workers = self._worker_delta()
+        transport = {}
+        if workers is not None:
+            program_cache["workers"] = workers
+            transport = {key: workers[key] for key in _TRANSPORT_COUNTERS}
         return TreeVQAResult(
             outcomes=outcomes,
             trajectories=self.trajectories,
@@ -557,7 +498,7 @@ class TreeVQAController:
                 "num_final_clusters": len(final_clusters),
                 "num_splits": self.tree.num_splits,
                 "tree_depth_levels": self.tree.depth_levels(),
-                "program_cache": self._program_cache_delta(),
+                "program_cache": program_cache,
                 **(
                     {"measurement_plan_cache": plan_cache}
                     if (plan_cache := self._measurement_plan_cache_delta()) is not None
@@ -570,7 +511,7 @@ class TreeVQAController:
                 ),
                 **(
                     {"transport": transport}
-                    if (transport := self._transport_metadata()) is not None
+                    if any(transport.values())
                     else {}
                 ),
             },

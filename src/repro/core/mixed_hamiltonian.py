@@ -108,10 +108,6 @@ class MixedHamiltonian:
         """
         return self.coefficient_matrix @ self._coerce_vector(term_values)
 
-    def mixed_value(self, term_values: Mapping[PauliString, float] | np.ndarray) -> float:
-        """The mixed-Hamiltonian energy (mean of the member-task energies)."""
-        return float(np.mean(self.individual_values(term_values)))
-
 
 def build_mixed_hamiltonian(hamiltonians: list[PauliOperator]) -> MixedHamiltonian:
     """Pad the Hamiltonians to a shared term basis and average them."""

@@ -21,11 +21,11 @@ backend dispatch — and, because the batched statevector backend's stacked
 sequential rounds produce bit-identical trajectories under the exact
 estimator.
 
+Every batched payload slice, consumption-ordered, is converted through one
+:meth:`~repro.quantum.sampling.BaseEstimator.estimate_backend_results` call.
 States-consuming estimators (the sampling estimator) batch too: the backend
-attaches prepared states (``need_states=True``) and the whole
-consumption-ordered slice is converted through one
-:meth:`~repro.quantum.sampling.BaseEstimator.estimate_backend_results` call
-— bit-identical to the per-result loop by the estimator's RNG-derivation
+attaches prepared states (``need_states=True``), and the conversion is
+bit-identical to the per-request path by the estimator's RNG-derivation
 contract.  When the backend cannot attach states (``provides_states=False``,
 e.g. pure Pauli propagation), the scheduler warns once, naming the backend,
 and falls back per request.
@@ -237,19 +237,12 @@ class RoundScheduler:
             # Each request runs alone, as a batch of one on the estimator's
             # own backend: the configured backend is never touched.
             return [estimator.estimate_request(request) for request in requests]
-        batch_convert = getattr(estimator, "estimate_backend_results", None)
-        if batch_convert is not None:
-            # One conversion call for the whole consumption-ordered slice:
-            # estimators with a vectorized noise layer (sampling plans)
-            # evaluate the slice in a few array ops, and the contract pins
-            # the batched call bit-identical to the per-result loop below.
-            return batch_convert(
-                backend_results, [request.operator for request in requests]
-            )
-        return [
-            estimator.estimate_backend_result(result, request.operator)
-            for request, result in zip(requests, backend_results)
-        ]
+        # One conversion call for the whole consumption-ordered slice:
+        # estimators with a vectorized noise layer (sampling plans) evaluate
+        # the slice in a few array ops, bit-identical to the per-request path.
+        return estimator.estimate_backend_results(
+            backend_results, [request.operator for request in requests]
+        )
 
     def _chunks(self, requests: list[ExecutionRequest]) -> list[list[ExecutionRequest]]:
         size = self.max_batch_size

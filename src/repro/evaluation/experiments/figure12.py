@@ -39,9 +39,6 @@ class Figure12Result:
 
     bars: list[Figure12Bar] = field(default_factory=list)
 
-    def ordered_by_variance(self) -> list[Figure12Bar]:
-        return sorted(self.bars, key=lambda bar: bar.edge_weight_variance)
-
 
 def run_figure12(
     preset: str | Preset = "fast",

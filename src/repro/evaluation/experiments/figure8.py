@@ -48,16 +48,6 @@ class Figure8Result:
     def for_molecule(self, molecule: str) -> list[PrecisionPoint]:
         return [point for point in self.points if point.molecule == molecule]
 
-    def savings_increase_with_precision(self, molecule: str) -> bool:
-        """True when the finest measured precision saves at least as much as the coarsest."""
-        measured = [
-            point for point in self.for_molecule(molecule)
-            if not point.inferred and point.savings_ratio is not None
-        ]
-        if len(measured) < 2:
-            return False
-        return measured[-1].savings_ratio >= measured[0].savings_ratio
-
 
 def _extrapolate(points: list[PrecisionPoint], target_precision: float) -> PrecisionPoint | None:
     """Linear extrapolation of savings against task count (the paper's inferred bar)."""

@@ -29,7 +29,7 @@ turns a whole round into a small number of linear-algebra dispatches:
 
 Backends compute *exact* expectation values; shot/sampling noise remains the
 estimator layer's job (see
-:meth:`~repro.quantum.sampling.BaseEstimator.estimate_backend_result`).
+:meth:`~repro.quantum.sampling.BaseEstimator.estimate_backend_results`).
 Identity terms are pinned to exactly 1 in every returned term vector.
 """
 

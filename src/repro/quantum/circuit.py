@@ -245,10 +245,6 @@ class QuantumCircuit:
     def ryy(self, theta: ParamValue, a: int, b: int) -> "QuantumCircuit":
         return self.append("ryy", [a, b], [theta])
 
-    def barrier(self) -> "QuantumCircuit":
-        """No-op kept for API familiarity; the IR does not store barriers."""
-        return self
-
     def compose(self, other: "QuantumCircuit") -> "QuantumCircuit":
         """Return a new circuit equal to self followed by ``other``."""
         if other.num_qubits != self.num_qubits:

@@ -206,13 +206,6 @@ class CompiledPauliOperator:
         """Terms that cost shots: non-identity with nonzero coefficient."""
         return self._num_measured_terms
 
-    @classmethod
-    def from_operator(cls, operator: PauliOperator) -> "CompiledPauliOperator":
-        """Compile every term of ``operator`` (insertion order, zeros kept)."""
-        paulis = operator.paulis()
-        coefficients = [operator.coefficient(p) for p in paulis]
-        return cls(paulis, coefficients, num_qubits=operator.num_qubits)
-
     # -- evaluation -----------------------------------------------------------
 
     def expectation_values(self, state) -> np.ndarray:

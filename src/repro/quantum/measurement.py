@@ -31,8 +31,7 @@ of the sampling estimator's bit-identity guarantee (see
 
 Plans are interned in one process-wide :class:`~repro.quantum.cache.LRUCache`
 keyed by operator value, observable via :func:`measurement_plan_cache_stats`
-and adjustable via :func:`set_measurement_plan_cache_limit` /
-``TreeVQAConfig(measurement_plan_cache_size=...)``.
+and sized via :func:`set_measurement_plan_cache_limit`.
 """
 
 from __future__ import annotations

@@ -89,13 +89,14 @@ class BaseEstimator:
     Estimators are the *noise layer* between execution backends and
     consumers: an :class:`~repro.quantum.backend.ExecutionBackend` produces
     exact per-term expectation values (and, on demand, prepared states), and
-    :meth:`estimate_backend_result` turns that payload into an
-    :class:`EstimatorResult` with this estimator's noise model and shot
-    accounting.  The capability flags tell the scheduler which payload to
-    request: ``consumes_term_vectors`` estimators work from exact term
-    vectors (any backend, including Clifford); ``consumes_states`` estimators
-    need the prepared statevector; estimators with neither flag are driven
-    one request at a time through :meth:`estimate_request`.
+    :meth:`estimate_backend_results` — the one conversion entry point — turns
+    those payloads into :class:`EstimatorResult` objects with this
+    estimator's noise model and shot accounting.  The capability flags tell
+    the scheduler which payload to request: ``consumes_term_vectors``
+    estimators work from exact term vectors (any backend, including
+    Clifford); ``consumes_states`` estimators need the prepared statevector;
+    estimators with neither flag are driven one request at a time through
+    :meth:`estimate_request`.
 
     Every estimator owns a backend (:attr:`backend`: a
     :class:`~repro.quantum.backend.StatevectorBackend` by default, the
@@ -155,98 +156,66 @@ class BaseEstimator:
         result = self.backend.run_batch(
             [request], need_states=not self.consumes_term_vectors
         )[0]
-        return self.estimate_backend_result(result, request.operator)
-
-    def estimate_backend_result(self, result, operator: PauliOperator) -> EstimatorResult:
-        """Estimate <H> from an execution-backend result, charging shots.
-
-        ``result`` is a :class:`~repro.quantum.backend.BackendResult`.  The
-        exact term vector is preferred when this estimator can consume one;
-        otherwise the prepared state is used.
-        """
-        if self.consumes_term_vectors and result.term_vector is not None:
-            estimate = self._estimate_from_term_vector(operator, result.term_vector)
-        elif result.state is not None:
-            estimate = self._estimate_state(result.state, operator)
-        else:
-            raise ValueError(
-                f"{type(self).__name__} cannot consume a backend result without "
-                "a prepared state; request need_states=True or use "
-                "estimate_request()"
-            )
-        self.total_shots += estimate.shots_used
-        self.total_evaluations += 1
-        return estimate
+        return self.estimate_backend_results([result], [request.operator])[0]
 
     def estimate_backend_results(
         self, results, operators: Sequence[PauliOperator]
     ) -> list[EstimatorResult]:
-        """Estimate a whole batch of backend payloads, one per request.
+        """Estimate a batch of backend payloads, one per request, in order.
 
-        The default delegates to :meth:`estimate_backend_result` per result,
-        in order, so shot accounting and any noise draws happen exactly as if
-        the caller had looped.  Estimators whose evaluation vectorizes across
-        requests (the sampling estimator) override this with a batched
-        implementation — which must stay **bit-identical** to the per-result
-        loop, the contract the round scheduler's parity guarantees rest on.
+        ``results`` are :class:`~repro.quantum.backend.BackendResult` objects.
+        Each exact term vector is copied, its identity terms are pinned to 1,
+        and :meth:`_apply_noise` draws this estimator's noise, so noise draws
+        and shot accounting happen once per result in consumption order.
+        Estimators whose evaluation vectorizes across requests (the sampling
+        estimator) override this — and must stay **bit-identical** to
+        converting each result as a batch of one, the contract the round
+        scheduler's parity guarantees rest on.
         """
-        return [
-            self.estimate_backend_result(result, operator)
-            for result, operator in zip(results, operators)
-        ]
+        estimates = []
+        for result, operator in zip(results, operators):
+            engine = compiled_pauli_operator(operator)
+            vector = np.asarray(result.term_vector, dtype=float).copy()
+            vector[engine.identity_mask] = 1.0
+            vector, variance = self._apply_noise(engine, vector)
+            estimate = EstimatorResult(
+                value=float(engine.coefficients @ vector),
+                shots_used=self.shots_per_term * max(engine.num_measured_terms, 1),
+                variance=variance,
+                term_basis=engine.paulis,
+                term_vector=vector,
+            )
+            self.total_shots += estimate.shots_used
+            self.total_evaluations += 1
+            estimates.append(estimate)
+        return estimates
 
-    def _estimate_from_term_vector(
-        self, operator: PauliOperator, term_vector: np.ndarray
-    ) -> EstimatorResult:
+    def _apply_noise(self, engine, vector: np.ndarray) -> tuple[np.ndarray, float]:
+        """This estimator's noise over an identity-pinned term vector:
+        ``(estimated term vector, reported variance)``."""
         raise NotImplementedError
 
-    def shots_for(self, operator: PauliOperator) -> int:
-        """Shot cost charged for one evaluation of ``operator``."""
-        return self.shots_per_term * max(
-            compiled_pauli_operator(operator).num_measured_terms, 1
+    def _shot_noise(self, engine, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One vectorized Gaussian draw of the per-term finite-shot noise:
+        ``(noisy vector clipped to [-1, 1], per-term variance)``."""
+        term_variance = np.where(
+            engine.identity_mask,
+            0.0,
+            np.clip(1.0 - vector ** 2, 0.0, None) / self.shots_per_term,
         )
-
-    def _shots_from_engine(self, engine) -> int:
-        """Shot cost from an engine already in hand — skips the operator
-        fingerprint revalidation :func:`compiled_pauli_operator` performs, so
-        per-result accounting on the hot path stays O(1)."""
-        return self.shots_per_term * max(engine.num_measured_terms, 1)
-
-    def _estimate_state(self, state: Statevector, operator: PauliOperator) -> EstimatorResult:
-        raise NotImplementedError
-
-
-def _exact_term_vector(state: Statevector, operator: PauliOperator):
-    """(engine, exact term vector) with identity terms pinned to exactly 1."""
-    engine = compiled_pauli_operator(operator)
-    vector = engine.expectation_values(state)
-    vector[engine.identity_mask] = 1.0
-    return engine, vector
+        noisy = np.clip(
+            vector + self.rng.normal(0.0, np.sqrt(term_variance)), -1.0, 1.0
+        )
+        return noisy, term_variance
 
 
 class ExactEstimator(BaseEstimator):
     """Noiseless expectation values with §7.3 shot accounting."""
 
     consumes_term_vectors = True
-    consumes_states = True
 
-    def _estimate_state(self, state: Statevector, operator: PauliOperator) -> EstimatorResult:
-        engine, vector = _exact_term_vector(state, operator)
-        return self._estimate_from_term_vector(operator, vector)
-
-    def _estimate_from_term_vector(
-        self, operator: PauliOperator, term_vector: np.ndarray
-    ) -> EstimatorResult:
-        engine = compiled_pauli_operator(operator)
-        vector = np.asarray(term_vector, dtype=float).copy()
-        vector[engine.identity_mask] = 1.0
-        return EstimatorResult(
-            value=float(engine.coefficients @ vector),
-            shots_used=self._shots_from_engine(engine),
-            variance=0.0,
-            term_basis=engine.paulis,
-            term_vector=vector,
-        )
+    def _apply_noise(self, engine, vector: np.ndarray) -> tuple[np.ndarray, float]:
+        return vector, 0.0
 
 
 class ShotNoiseEstimator(BaseEstimator):
@@ -260,34 +229,10 @@ class ShotNoiseEstimator(BaseEstimator):
     """
 
     consumes_term_vectors = True
-    consumes_states = True
 
-    def _estimate_state(self, state: Statevector, operator: PauliOperator) -> EstimatorResult:
-        _, exact = _exact_term_vector(state, operator)
-        return self._estimate_from_term_vector(operator, exact)
-
-    def _estimate_from_term_vector(
-        self, operator: PauliOperator, term_vector: np.ndarray
-    ) -> EstimatorResult:
-        engine = compiled_pauli_operator(operator)
-        exact = np.asarray(term_vector, dtype=float).copy()
-        exact[engine.identity_mask] = 1.0
-        term_variance = np.where(
-            engine.identity_mask,
-            0.0,
-            np.clip(1.0 - exact ** 2, 0.0, None) / self.shots_per_term,
-        )
-        noisy = np.clip(
-            exact + self.rng.normal(0.0, np.sqrt(term_variance)), -1.0, 1.0
-        )
-        coefficients = engine.coefficients
-        return EstimatorResult(
-            value=float(coefficients @ noisy),
-            shots_used=self._shots_from_engine(engine),
-            variance=float((coefficients ** 2) @ term_variance),
-            term_basis=engine.paulis,
-            term_vector=noisy,
-        )
+    def _apply_noise(self, engine, vector: np.ndarray) -> tuple[np.ndarray, float]:
+        noisy, term_variance = self._shot_noise(engine, vector)
+        return noisy, float((engine.coefficients ** 2) @ term_variance)
 
 
 class SamplingEstimator(BaseEstimator):
@@ -340,13 +285,6 @@ class SamplingEstimator(BaseEstimator):
             np.random.SeedSequence(entropy=self._entropy, spawn_key=(ordinal,))
         )
 
-    def _estimate_state(self, state: Statevector, operator: PauliOperator) -> EstimatorResult:
-        plan = measurement_plan_for(operator)
-        ordinal = self.sampling_evaluations
-        self.sampling_evaluations += 1
-        amplitudes = np.asarray(state.data, dtype=complex).reshape(1, -1)
-        return self._plan_results(plan, amplitudes, [self._request_rng(ordinal)])[0]
-
     def estimate_backend_results(
         self, results, operators: Sequence[PauliOperator]
     ) -> list[EstimatorResult]:
@@ -357,8 +295,8 @@ class SamplingEstimator(BaseEstimator):
         evaluates every group/probability/draw for the whole stack at once.
         Per-request child generators are assigned by position in ``results``
         — the scheduler's strict consumption order — before any grouping, so
-        the returned estimates are bit-identical to calling
-        :meth:`estimate_backend_result` in a loop.
+        the returned estimates are bit-identical to converting each result
+        as a batch of one.
         """
         results = list(results)
         operators = list(operators)
@@ -477,39 +415,26 @@ class DensityMatrixEstimator(BaseEstimator):
         self.noise_model = self.backend.noise_model
         self.add_shot_noise = add_shot_noise
 
-    def estimate_backend_result(self, result, operator: PauliOperator) -> EstimatorResult:
-        backend_name = getattr(result, "backend_name", None)
-        if backend_name != self.requires_backend:
-            raise ValueError(
-                "DensityMatrixEstimator needs term vectors produced under its "
-                f"noise model by the {self.requires_backend!r} backend; got a "
-                f"result from {backend_name!r} — configure "
-                "TreeVQAConfig(backend='density_matrix', noise_model=...) or "
-                "use per-request estimate_request()"
-            )
-        return super().estimate_backend_result(result, operator)
+    def estimate_backend_results(
+        self, results, operators: Sequence[PauliOperator]
+    ) -> list[EstimatorResult]:
+        """Convert density-matrix payloads; a payload from any other backend
+        is refused before any result is converted."""
+        results = list(results)
+        for result in results:
+            if result.backend_name != self.requires_backend:
+                raise ValueError(
+                    "DensityMatrixEstimator needs term vectors produced under its "
+                    f"noise model by the {self.requires_backend!r} backend; got a "
+                    f"result from {result.backend_name!r} — configure "
+                    "TreeVQAConfig(backend='density_matrix', noise_model=...) or "
+                    "use per-request estimate_request()"
+                )
+        return super().estimate_backend_results(results, operators)
 
-    def _estimate_from_term_vector(
-        self, operator: PauliOperator, term_vector: np.ndarray
-    ) -> EstimatorResult:
+    def _apply_noise(self, engine, vector: np.ndarray) -> tuple[np.ndarray, float]:
         """Noise layer over an already-noisy term vector (readout included):
-        optional shot noise plus §7.3 shot accounting."""
-        engine = compiled_pauli_operator(operator)
-        vector = np.asarray(term_vector, dtype=float).copy()
-        vector[engine.identity_mask] = 1.0
+        optional shot noise; the reported variance stays 0."""
         if self.add_shot_noise:
-            term_variance = np.where(
-                engine.identity_mask,
-                0.0,
-                np.clip(1.0 - vector ** 2, 0.0, None) / self.shots_per_term,
-            )
-            vector = np.clip(
-                vector + self.rng.normal(0.0, np.sqrt(term_variance)), -1.0, 1.0
-            )
-        return EstimatorResult(
-            value=float(engine.coefficients @ vector),
-            shots_used=self._shots_from_engine(engine),
-            variance=0.0,
-            term_basis=engine.paulis,
-            term_vector=vector,
-        )
+            vector, _ = self._shot_noise(engine, vector)
+        return vector, 0.0

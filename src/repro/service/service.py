@@ -18,9 +18,10 @@ optimisation state:
   ``owns_backend=False`` — a finishing, failing, or cancelled job never
   closes the pool under its co-tenants (the pool closes exactly once, in
   :meth:`TreeVQAService.aclose`);
-* only the service sets the process-wide cache limits
-  (``program_cache_size`` / ``measurement_plan_cache_size`` constructor
-  knobs); job configs carrying cache sizes are rejected at submission, so
+* no job sizes the process-wide program / measurement-plan caches: they
+  are sized for the whole process with
+  :func:`~repro.quantum.program.set_program_cache_limit` /
+  :func:`~repro.quantum.measurement.set_measurement_plan_cache_limit`, so
   no tenant can shrink a shared LRU and evict a concurrent job's compiled
   programs mid-run;
 * per-job RNG streams (optimizers, estimators) live inside each job's own
@@ -95,10 +96,6 @@ class TreeVQAService:
         max_inflight_shots: Shot-pressure cap — admission pauses while the
             shots charged by currently running jobs reach this value (an
             idle service always admits one job, so the cap cannot deadlock).
-        program_cache_size / measurement_plan_cache_size: Process-wide cache
-            limits, applied at construction.  The service is the cache
-            *owner*: unlike controllers (which may only grow the shared
-            caches), it sets the limits outright.
     """
 
     def __init__(
@@ -111,8 +108,6 @@ class TreeVQAService:
         worker_timeout_s: float | None = None,
         max_running_jobs: int | None = None,
         max_inflight_shots: int | None = None,
-        program_cache_size: int | None = None,
-        measurement_plan_cache_size: int | None = None,
     ) -> None:
         if backend_factory is None and backend not in BACKEND_REGISTRY:
             raise ValueError(
@@ -141,16 +136,6 @@ class TreeVQAService:
             )
         else:
             self._backend = inner_factory()
-        # The service owns the process-wide caches: it sets limits outright
-        # (controllers may only grow them — see TreeVQAController).
-        if program_cache_size is not None:
-            from ..quantum.program import set_program_cache_limit
-
-            set_program_cache_limit(program_cache_size)
-        if measurement_plan_cache_size is not None:
-            from ..quantum.measurement import set_measurement_plan_cache_limit
-
-            set_measurement_plan_cache_limit(measurement_plan_cache_size)
         self._dispatcher = FairShareDispatcher(
             max_running_jobs=max_running_jobs,
             max_inflight_shots=max_inflight_shots,
@@ -219,15 +204,6 @@ class TreeVQAService:
                 "(size it via TreeVQAService(workers=...)); note the "
                 "REPRO_EXECUTION_WORKERS environment variable also sets this "
                 "field"
-            )
-        if config.program_cache_size is not None or (
-            config.measurement_plan_cache_size is not None
-        ):
-            raise ServiceError(
-                "job configs must not size the process-wide caches — a "
-                "tenant shrinking a shared LRU would evict concurrent jobs' "
-                "compiled entries; set program_cache_size/"
-                "measurement_plan_cache_size on the TreeVQAService instead"
             )
         if config.backend_factory is not None:
             raise ServiceError(

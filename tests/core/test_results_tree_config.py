@@ -155,8 +155,6 @@ class TestTreeVQAConfig:
         with pytest.raises(ValueError):
             TreeVQAConfig(estimator="exactish")
         with pytest.raises(ValueError):
-            TreeVQAConfig(num_split_children=1)
-        with pytest.raises(ValueError):
             TreeVQAConfig(max_total_shots=0)
 
     def test_factories(self):

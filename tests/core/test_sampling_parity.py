@@ -1,12 +1,15 @@
-"""RNG-parity suite for batched measurement sampling.
+"""RNG-parity suite for the estimator conversion path and batched sampling.
 
-The sampling estimator's bit-identity contract: batched evaluation over
-backend-prepared states must equal per-request evaluation — same sampled
-term vectors, same values, same variances, same ``shots_used`` — at every
-level of the stack (estimator, scheduler, controller) and for every
-``max_batch_size`` and ``execution_workers`` setting.  The anchor is the
-per-request child-generator derivation (keyed by strict consumption order),
-so these tests compare with ``np.testing.assert_array_equal`` — never
+Every estimator converts backend payloads through one entry point,
+``estimate_backend_results``; one call over a batch must equal row-by-row
+batches of one and per-request ``estimate_request`` byte for byte, shot
+ledger included.  The sampling estimator's bit-identity contract extends
+this to every level of the stack (estimator, scheduler, controller) and to
+every ``max_batch_size`` and ``execution_workers`` setting: batched
+evaluation over backend-prepared states must equal per-request evaluation —
+same sampled term vectors, same values, same variances, same
+``shots_used``.  The anchor is the per-request child-generator derivation
+(keyed by strict consumption order), so these tests compare exactly — never
 ``allclose``.
 """
 
@@ -25,8 +28,15 @@ from repro.quantum import (
     StatevectorBackend,
     WidthRoutedBackend,
 )
+from repro.quantum.density_matrix import DensityMatrixBackend
+from repro.quantum.noise import get_backend_profile
 from repro.quantum.pauli_propagation import PauliPropagationBackend
-from repro.quantum.sampling import SamplingEstimator
+from repro.quantum.sampling import (
+    DensityMatrixEstimator,
+    ExactEstimator,
+    SamplingEstimator,
+    ShotNoiseEstimator,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +47,7 @@ def _explicit_worker_counts(monkeypatch):
 
 
 SHOTS = 64
+NOISY = get_backend_profile("hanoi").to_noise_model()
 
 
 class PerRequestSampling(SamplingEstimator):
@@ -123,31 +134,59 @@ def _assert_estimates_identical(left, right):
         assert ours.value == reference.value
         assert ours.variance == reference.variance
         assert ours.shots_used == reference.shots_used
-        np.testing.assert_array_equal(ours.term_vector, reference.term_vector)
+        assert ours.term_basis == reference.term_basis
+        assert ours.term_vector.tobytes() == reference.term_vector.tobytes()
 
 
 # -- estimator (backend payload) level -------------------------------------------
 
 
+#: name -> (same-seeded estimator factory, payload backend, need_states).
+_ESTIMATOR_LEGS = {
+    "exact": (lambda: ExactEstimator(shots_per_term=SHOTS, seed=7), StatevectorBackend, False),
+    "shot_noise": (
+        lambda: ShotNoiseEstimator(shots_per_term=SHOTS, seed=7),
+        StatevectorBackend,
+        False,
+    ),
+    "sampling": (
+        lambda: SamplingEstimator(shots_per_term=SHOTS, seed=7),
+        StatevectorBackend,
+        True,
+    ),
+    "density_matrix": (
+        lambda: DensityMatrixEstimator(NOISY, shots_per_term=SHOTS, seed=7),
+        lambda: DensityMatrixBackend(NOISY),
+        False,
+    ),
+    "density_matrix_shot_noise": (
+        lambda: DensityMatrixEstimator(
+            NOISY, shots_per_term=SHOTS, seed=7, add_shot_noise=True
+        ),
+        lambda: DensityMatrixBackend(NOISY),
+        False,
+    ),
+}
+
+
 class TestBackendLevelParity:
-    def test_batched_equals_per_request_equals_direct(self, bound_request):
+    @pytest.mark.parametrize("leg", sorted(_ESTIMATOR_LEGS))
+    def test_batched_equals_per_request_equals_direct(self, bound_request, leg):
+        make_estimator, make_backend, need_states = _ESTIMATOR_LEGS[leg]
         requests = _requests(bound_request)
-        backend_results = StatevectorBackend().run_batch(requests, need_states=True)
+        backend_results = make_backend().run_batch(requests, need_states=need_states)
         operators = [request.operator for request in requests]
 
-        batched = SamplingEstimator(shots_per_term=SHOTS, seed=7)
+        batched = make_estimator()
         from_batch = batched.estimate_backend_results(backend_results, operators)
 
-        looped = SamplingEstimator(shots_per_term=SHOTS, seed=7)
+        looped = make_estimator()
         from_loop = [
-            looped.estimate_backend_result(result, operator)
+            looped.estimate_backend_results([result], [operator])[0]
             for result, operator in zip(backend_results, operators)
         ]
-        direct = SamplingEstimator(shots_per_term=SHOTS, seed=7)
-        from_direct = [
-            direct.estimate(request.program.bind(request.parameters), request.operator)
-            for request in requests
-        ]
+        direct = make_estimator()
+        from_direct = [direct.estimate_request(request) for request in requests]
         _assert_estimates_identical(from_batch, from_loop)
         _assert_estimates_identical(from_batch, from_direct)
         assert batched.total_shots == looped.total_shots == direct.total_shots
@@ -287,10 +326,6 @@ class TestControllerLevelParity:
         assert delta["hits"] > 0
         assert delta["hits"] + delta["misses"] > 0
         assert delta["limit"] >= 1
-
-    def test_plan_cache_size_knob_validated(self):
-        with pytest.raises(ValueError, match="measurement_plan_cache_size"):
-            TreeVQAConfig(measurement_plan_cache_size=0)
 
 
 # -- fallback and routing ----------------------------------------------------------

@@ -1,23 +1,20 @@
-"""Shared-backend ownership, grow-only cache limits, delta attribution.
+"""Shared-backend ownership and per-run delta attribution.
 
 These are the lifecycle contracts the job service builds on:
 
 * a controller closes only execution resources it created itself —
   ``run()`` on a caller-supplied backend must never tear a shared worker
   pool down under concurrent tenants;
-* a controller config may only *grow* the process-wide program /
-  measurement-plan caches (a shrink warns and is ignored — only the cache
-  owner shrinks deliberately);
 * per-run cache-stat deltas over the shared counters are clamped at ≥ 0
   and labelled ``"shared": True`` whenever another live controller
   overlapped the run;
+* worker-pool counters in result metadata are this run's, not the shared
+  pool's lifetime totals;
 * ``step_round()`` / ``finalize()`` — the resumable primitives the service
   drives — reproduce ``run()`` bit-identically.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -25,12 +22,7 @@ from repro.core import TreeVQAConfig, TreeVQAController
 from repro.core.controller import live_controller_count
 from repro.core.scheduler import RoundScheduler
 from repro.quantum.backend import StatevectorBackend, make_execution_backend
-from repro.quantum.measurement import (
-    measurement_plan_cache_stats,
-    set_measurement_plan_cache_limit,
-)
 from repro.quantum.parallel import ParallelBackend
-from repro.quantum.program import program_cache_stats, set_program_cache_limit
 
 
 def make_config(seed=3, **overrides) -> TreeVQAConfig:
@@ -56,15 +48,6 @@ def fingerprint(result) -> dict:
         )
         for outcome in result.outcomes
     }
-
-
-@pytest.fixture
-def restore_cache_limits():
-    program_limit = program_cache_stats()["limit"]
-    plan_limit = measurement_plan_cache_stats()["limit"]
-    yield
-    set_program_cache_limit(program_limit)
-    set_measurement_plan_cache_limit(plan_limit)
 
 
 class TestBackendOwnership:
@@ -127,69 +110,6 @@ class TestBackendOwnership:
         assert live_controller_count() == baseline
 
 
-class TestGrowOnlyCacheLimits:
-    def test_config_may_grow_the_shared_caches(
-        self, tfim_tasks, small_ansatz, restore_cache_limits
-    ):
-        bigger = program_cache_stats()["limit"] + 16
-        plan_bigger = measurement_plan_cache_stats()["limit"] + 8
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            controller = TreeVQAController(
-                tfim_tasks,
-                small_ansatz,
-                make_config(
-                    program_cache_size=bigger,
-                    measurement_plan_cache_size=plan_bigger,
-                ),
-            )
-        controller.close()
-        assert program_cache_stats()["limit"] == bigger
-        assert measurement_plan_cache_stats()["limit"] == plan_bigger
-
-    def test_config_shrink_warns_and_is_ignored(
-        self, tfim_tasks, small_ansatz, restore_cache_limits
-    ):
-        current = program_cache_stats()["limit"]
-        with pytest.warns(RuntimeWarning) as caught:
-            controller = TreeVQAController(
-                tfim_tasks,
-                small_ansatz,
-                make_config(program_cache_size=current - 1),
-            )
-        controller.close()
-        assert program_cache_stats()["limit"] == current
-        message = str(caught[0].message)
-        # The warning must be actionable: name the deliberate paths.
-        assert "set_program_cache_limit" in message
-        assert "TreeVQAService" in message
-
-    def test_measurement_plan_shrink_warns_and_is_ignored(
-        self, tfim_tasks, small_ansatz, restore_cache_limits
-    ):
-        current = measurement_plan_cache_stats()["limit"]
-        with pytest.warns(RuntimeWarning, match="set_measurement_plan_cache_limit"):
-            controller = TreeVQAController(
-                tfim_tasks,
-                small_ansatz,
-                make_config(measurement_plan_cache_size=current - 1),
-            )
-        controller.close()
-        assert measurement_plan_cache_stats()["limit"] == current
-
-    def test_equal_limit_is_a_silent_noop(
-        self, tfim_tasks, small_ansatz, restore_cache_limits
-    ):
-        current = program_cache_stats()["limit"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            controller = TreeVQAController(
-                tfim_tasks, small_ansatz, make_config(program_cache_size=current)
-            )
-        controller.close()
-        assert program_cache_stats()["limit"] == current
-
-
 class TestCacheDeltaAttribution:
     def test_negative_counter_deltas_are_clamped(self, tfim_tasks, small_ansatz):
         controller = TreeVQAController(tfim_tasks, small_ansatz, make_config())
@@ -227,6 +147,29 @@ class TestCacheDeltaAttribution:
         result = controller.finalize()
         controller.close()
         assert result.metadata["program_cache"]["shared"] is True
+
+    def test_shared_pool_worker_counters_are_per_run(self, tfim_tasks, small_ansatz):
+        # Two identical runs, one after the other, on one shared pool: each
+        # reports its own dispatches, and only the first ships the program
+        # (the second finds it warm in the worker).
+        shared = ParallelBackend(StatevectorBackend, workers=1)
+        try:
+            first, second = (
+                TreeVQAController(
+                    tfim_tasks, small_ansatz, make_config(3), backend=shared
+                ).run().metadata["program_cache"]["workers"]
+                for _ in range(2)
+            )
+            lifetime = shared.worker_cache_stats()
+        finally:
+            shared.close()
+        assert first["shards_dispatched"] == second["shards_dispatched"] > 0
+        assert first["programs_shipped"] >= 1
+        assert second["programs_shipped"] == 0
+        assert second["program_reuses"] > 0
+        for key in ("shards_dispatched", "programs_shipped", "program_reuses"):
+            assert first[key] + second[key] == lifetime[key]
+        assert first["workers"] == second["workers"] == 1
 
 
 class TestResumablePrimitives:

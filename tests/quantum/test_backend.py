@@ -24,7 +24,7 @@ from repro.quantum import (
     program_for_bound_circuit,
 )
 from repro.quantum.engine import compiled_pauli_operator
-from repro.quantum.sampling import ExactEstimator, ShotNoiseEstimator
+from repro.quantum.sampling import ExactEstimator, SamplingEstimator, ShotNoiseEstimator
 
 
 def _random_operator(num_qubits: int, num_terms: int, seed: int) -> PauliOperator:
@@ -526,8 +526,8 @@ class TestEstimatorBackendResults:
         from_backend = ExactEstimator(seed=0)
         legacy = ExactEstimator(seed=0)
         for request, backend_result in zip(requests, backend_results):
-            via_backend = from_backend.estimate_backend_result(
-                backend_result, request.operator
+            (via_backend,) = from_backend.estimate_backend_results(
+                [backend_result], [request.operator]
             )
             direct = legacy.estimate(
                 request.program.bind(request.parameters), request.operator, request.initial_state
@@ -542,19 +542,20 @@ class TestEstimatorBackendResults:
         requests = _requests(bound_request, batch=2, seed=9)
         backend_results = StatevectorBackend().run_batch(requests)
         estimator = ShotNoiseEstimator(shots_per_term=256, seed=1)
-        result = estimator.estimate_backend_result(backend_results[0], requests[0].operator)
+        (result,) = estimator.estimate_backend_results(
+            backend_results[:1], [requests[0].operator]
+        )
         assert result.variance > 0
         assert estimator.total_evaluations == 1
 
     def test_estimator_without_payload_raises(self, bound_request):
         requests = _requests(bound_request, clifford_angles=True, batch=1, seed=10)
         clifford_result = CliffordBackend().run_batch(requests)[0]
-
-        class ScalarOnly(ExactEstimator):
-            consumes_term_vectors = False
-
-        with pytest.raises(ValueError):
-            ScalarOnly().estimate_backend_result(clifford_result, requests[0].operator)
+        # The stabilizer tier attaches no state, and sampling needs one.
+        with pytest.raises(ValueError, match="need_states"):
+            SamplingEstimator(seed=0).estimate_backend_results(
+                [clifford_result], [requests[0].operator]
+            )
 
 
 def test_make_execution_backend_registry():

@@ -571,7 +571,7 @@ class TestErrorPaths:
         pure_result = StatevectorBackend().run_batch(requests)[0]
         estimator = DensityMatrixEstimator(NOISY)
         with pytest.raises(ValueError, match="density_matrix"):
-            estimator.estimate_backend_result(pure_result, requests[0].operator)
+            estimator.estimate_backend_results([pure_result], [requests[0].operator])
 
     def test_noise_model_rejected_by_unitary_backends(self):
         with pytest.raises(ValueError, match="noise model"):

@@ -452,12 +452,6 @@ class TestSubmissionValidation:
         )
         assert "worker_timeout_s" in message and "shared pool" in message
 
-    def test_rejects_cache_sizes(self):
-        message = self._submit_error(make_config(3, program_cache_size=512))
-        assert "cache" in message and "TreeVQAService" in message
-        message = self._submit_error(make_config(3, measurement_plan_cache_size=64))
-        assert "cache" in message
-
     def test_rejects_backend_factory(self):
         from repro.quantum.backend import StatevectorBackend
 
