@@ -86,6 +86,8 @@ _WORKER_COUNTERS = (
     "states_shipped",
     *_TRANSPORT_COUNTERS,
 )
+#: Cumulative counters of each ``per_worker`` entry (``worker`` is the slot).
+_PER_WORKER_COUNTERS = ("dispatches", "latency_s", "respawns")
 
 
 def _clamped_delta(now: dict, baseline: dict, counters) -> dict:
@@ -421,14 +423,21 @@ class TreeVQAController:
         return None if worker_stats is None else worker_stats()
 
     def _worker_delta(self) -> dict | None:
-        """This run's worker-pool counters as deltas against the
-        construction-time snapshot (None without a pool); the other fields
-        (pool size, transport name, per-worker breakdown) are as read now."""
+        """This run's worker-pool counters, pool-wide and per slot, as deltas
+        against the construction-time snapshot (None without a pool); pool
+        size and transport name are as read now.  A slot the snapshot lacks
+        (the pool spawned after construction) counts from zero."""
         if self._worker_baseline is None:
             return None
-        return _clamped_delta(
-            self._worker_stats(), self._worker_baseline, _WORKER_COUNTERS
-        )
+        now = self._worker_stats()
+        delta = _clamped_delta(now, self._worker_baseline, _WORKER_COUNTERS)
+        before = {slot["worker"]: slot for slot in self._worker_baseline["per_worker"]}
+        unseen = dict.fromkeys(_PER_WORKER_COUNTERS, 0)
+        delta["per_worker"] = [
+            _clamped_delta(slot, before.get(slot["worker"], unseen), _PER_WORKER_COUNTERS)
+            for slot in now["per_worker"]
+        ]
+        return delta
 
     def _measurement_plan_cache_delta(self) -> dict[str, int] | None:
         """This run's measurement-plan-cache activity, or None when the run

@@ -8,19 +8,23 @@ These are the lifecycle contracts the job service builds on:
 * per-run cache-stat deltas over the shared counters are clamped at ≥ 0
   and labelled ``"shared": True`` whenever another live controller
   overlapped the run;
-* worker-pool counters in result metadata are this run's, not the shared
-  pool's lifetime totals;
+* worker-pool counters in result metadata, per slot included, are this
+  run's, not the shared pool's lifetime totals, and a transport fault is
+  reported by the run that saw it;
 * ``step_round()`` / ``finalize()`` — the resumable primitives the service
   drives — reproduce ``run()`` bit-identically.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.core import TreeVQAConfig, TreeVQAController
 from repro.core.controller import live_controller_count
 from repro.core.scheduler import RoundScheduler
+from repro.quantum import Fault, FaultInjectingTransport, LocalProcessTransport
 from repro.quantum.backend import StatevectorBackend, make_execution_backend
 from repro.quantum.parallel import ParallelBackend
 
@@ -170,6 +174,65 @@ class TestCacheDeltaAttribution:
         for key in ("shards_dispatched", "programs_shipped", "program_reuses"):
             assert first[key] + second[key] == lifetime[key]
         assert first["workers"] == second["workers"] == 1
+
+    def test_shared_pool_per_worker_entries_are_per_run(self, tfim_tasks, small_ansatz):
+        # The per-slot breakdown is this run's too: with one worker every
+        # shard lands on slot 0, so its dispatches equal the run's shards.
+        shared = ParallelBackend(StatevectorBackend, workers=1)
+        try:
+            first, second = (
+                TreeVQAController(
+                    tfim_tasks, small_ansatz, make_config(3), backend=shared
+                ).run().metadata["program_cache"]["workers"]
+                for _ in range(2)
+            )
+            lifetime = shared.worker_cache_stats()["per_worker"]
+        finally:
+            shared.close()
+        for run in (first, second):
+            (slot,) = run["per_worker"]
+            assert slot["worker"] == 0
+            assert slot["dispatches"] == run["shards_dispatched"] > 0
+            assert slot["latency_s"] > 0
+            assert slot["respawns"] == 0
+        (first_slot,), (second_slot,), (total,) = (
+            first["per_worker"], second["per_worker"], lifetime
+        )
+        assert first_slot["dispatches"] + second_slot["dispatches"] == total["dispatches"]
+        assert first_slot["latency_s"] + second_slot["latency_s"] == pytest.approx(
+            total["latency_s"]
+        )
+
+    def test_transport_faults_are_reported_by_the_run_that_saw_them(
+        self, tfim_tasks, small_ansatz
+    ):
+        # Slot 0's first send crashes: the first run respawns the worker and
+        # reports it; the second run on the healed pool reports no faults.
+        transport = FaultInjectingTransport(
+            LocalProcessTransport(),
+            [Fault(worker=0, op="send", kind="crash_before_send")],
+        )
+        shared = ParallelBackend(
+            StatevectorBackend, workers=1, transport=transport, retry_backoff_s=0.0
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                first = TreeVQAController(
+                    tfim_tasks, small_ansatz, make_config(3), backend=shared
+                ).run()
+            second = TreeVQAController(
+                tfim_tasks, small_ansatz, make_config(3), backend=shared
+            ).run()
+        finally:
+            shared.close()
+        assert transport.injected
+        assert first.metadata["transport"]["worker_respawns"] == 1
+        assert first.metadata["transport"]["shard_retries"] >= 1
+        assert first.metadata["program_cache"]["workers"]["per_worker"][0]["respawns"] == 1
+        assert "transport" not in second.metadata
+        assert second.metadata["program_cache"]["workers"]["per_worker"][0]["respawns"] == 0
+        assert fingerprint(first) == fingerprint(second)
 
 
 class TestResumablePrimitives:
