@@ -3,21 +3,30 @@
 Every optimizer step of every TreeVQA cluster bottoms out in evaluating all
 Pauli terms of a (mixed) Hamiltonian against a statevector.  Doing that one
 term at a time with :meth:`Statevector.pauli_expectation` costs dozens of
-small NumPy calls per term; this module instead compiles an operator **once**
-into flat index/sign tables and evaluates **all terms in one vectorized
-pass** over the 2^n amplitudes.
+small NumPy calls per term; this module instead compiles a term basis
+**once** into one signed index table and evaluates **all terms in one
+vectorized pass** over the 2^n amplitudes.
 
 The compilation uses each term's flip and phase masks
 (:func:`~repro.quantum.pauli.pauli_masks`:
 ``P|b> = i^{n_Y} (-1)^{popcount(b & phase)} |b ^ flip>``), so the expectation
 value of term ``t`` is
 
-    <psi|P_t|psi> = i^{n_Y_t} * sum_b conj(psi[b ^ f_t]) * s_t[b] * psi[b],
+    <psi|P_t|psi> = i^{n_Y_t} * sum_b conj(psi[b ^ f_t]) * s_t[b] * psi[b].
 
-which, with the permutation table ``perm[t, b] = b ^ f_t`` and the sign table
-``s_t[b]`` precomputed, is a gather, an elementwise product, and one BLAS
-matrix-vector product for the whole operator (issued in four-row blocks that
-keep it on the calling thread, see :data:`_GEMV_BLOCK_ROWS`).
+The sign ``s_t[b]`` is folded into the index: with
+``signed_perm[t, b] = (b ^ f_t) + 2^n * popcount(b & phase_t) % 2`` and the
+per-state row ``ext = [conj(psi), -conj(psi)]``, the factor
+``conj(psi[b ^ f_t]) * s_t[b]`` is the gather ``ext[signed_perm[t, b]]``.
+An evaluation is that one gather and one BLAS matrix-vector product for the
+whole operator (issued in four-row blocks that keep it on the calling thread,
+see :data:`_GEMV_BLOCK_ROWS`).
+
+The table depends only on the term basis, never on coefficients, and TreeVQA
+pads every task of a cluster onto one shared basis.  So there is **one signed
+index table per term basis**: tables are interned by ``(num_qubits, term
+labels)`` for exactly as long as some :class:`CompiledPauliOperator` holds
+them, and each operator keeps only its own coefficients.
 
 Contract used throughout the code base:
 
@@ -39,6 +48,7 @@ change (e.g. via :meth:`~repro.quantum.pauli.PauliOperator.chop`).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -47,14 +57,17 @@ from .pauli import PauliOperator, PauliString, operator_fingerprint, pauli_masks
 
 __all__ = ["CompiledPauliOperator", "compiled_pauli_operator", "pauli_evaluator"]
 
-#: Compiling allocates O(num_terms * 2^n) tables; past this qubit count
+#: Compiling allocates an O(num_terms * 2^n) table; past this qubit count
 #: :func:`pauli_evaluator` falls back to a per-term evaluator with the same
 #: interface instead.
 _MAX_COMPILED_QUBITS = 16
 
 #: Table-size budget for the factory: beyond ``num_terms * 2^n`` elements the
-#: compiled tables (and the per-call gather) stop paying for themselves in
-#: memory, so :func:`pauli_evaluator` falls back to the per-term evaluator.
+#: one signed index table of a term basis (and the per-call gather) stops
+#: paying for itself in memory, so :func:`pauli_evaluator` falls back to the
+#: per-term evaluator.  The table is shared by every operator over the basis,
+#: but the budget stays per basis so that which evaluator serves a width, and
+#: therefore every result bit, does not depend on what else is compiled.
 _MAX_COMPILED_ELEMENTS = 1 << 23
 
 #: Rows per BLAS call of the term product in
@@ -118,8 +131,52 @@ def _as_amplitudes(state) -> np.ndarray:
     return np.asarray(data, dtype=complex).ravel()
 
 
+#: ``ext = conj(psi) * _EXT_SIGNS`` holds ``[conj(psi), -conj(psi)]`` as two
+#: rows.  Multiplying by ``-1.0`` rather than negating keeps the signed zeros
+#: the complex product gives, so the gathered values equal the factors
+#: ``conj(psi[b ^ f_t]) * s_t[b]`` bit for bit.
+_EXT_SIGNS = np.array([[1.0], [-1.0]])
+
+
+class _TermTables:
+    """The signed index table and per-term constants of one term basis
+    (read-only: every engine over the basis shares them)."""
+
+    __slots__ = ("signed_perm", "prefactors", "weights", "identity_mask", "__weakref__")
+
+    def __init__(self, terms: tuple[PauliString, ...], num_qubits: int) -> None:
+        flip_masks, phase_masks, y_counts = pauli_masks(terms, num_qubits)
+        indices = np.arange(1 << num_qubits, dtype=np.int64)
+        parity = (popcount(indices[None, :] & phase_masks[:, None]) & 1).astype(np.int64)
+        # signed_perm[t, b] = (b XOR flip_t) + 2^n * parity_t(b): the index of
+        # conj(psi[b ^ flip_t]) * (-1)^parity_t(b) in ``ext``.
+        self.signed_perm = (indices[None, :] ^ flip_masks[:, None]) + (parity << num_qubits)
+        self.prefactors = np.power(1j, y_counts)
+        self.weights = popcount(flip_masks | phase_masks).astype(np.int64)
+        self.identity_mask = self.weights == 0
+        for table in (self.signed_perm, self.prefactors, self.weights, self.identity_mask):
+            table.flags.writeable = False
+
+
+#: One :class:`_TermTables` per ``(num_qubits, term labels)``, alive while some
+#: engine holds it.  Two threads compiling the same new basis at once both
+#: build it; each engine keeps the table it built, so neither is wrong.
+_TERM_TABLES: weakref.WeakValueDictionary[tuple[int, tuple[str, ...]], _TermTables] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _term_tables(terms: tuple[PauliString, ...], num_qubits: int) -> _TermTables:
+    key = (num_qubits, tuple(pauli.label for pauli in terms))
+    tables = _TERM_TABLES.get(key)
+    if tables is None:
+        tables = _TermTables(terms, num_qubits)
+        _TERM_TABLES[key] = tables
+    return tables
+
+
 class CompiledPauliOperator:
-    """Precompiled bit-flip/sign tables for vectorized Pauli evaluation.
+    """Coefficients over a shared signed index table, for vectorized evaluation.
 
     Parameters
     ----------
@@ -152,23 +209,9 @@ class CompiledPauliOperator:
         self._paulis = terms
         self._num_qubits = num_qubits
         self._coefficients = real_coefficients
-
-        dim = 1 << self._num_qubits
-        flip_masks, phase_masks, y_counts = pauli_masks(terms, num_qubits)
-        weights = popcount(flip_masks | phase_masks).astype(np.int64)
-
-        indices = np.arange(dim, dtype=np.int64)
-        self._indices = indices
-        # perm[t, b] = b XOR flip_mask_t : where amplitude b is sent by term t.
-        self._perm = indices[None, :] ^ flip_masks[:, None]
-        # signs[t, b] = (-1)^popcount(b & phase_mask_t).
-        parity = popcount(indices[None, :] & phase_masks[:, None]) & 1
-        self._signs = 1.0 - 2.0 * parity.astype(float)
-        self._prefactors = np.power(1j, y_counts)
-        self._weights = weights
-        self._identity_mask = weights == 0
+        self._tables = _term_tables(terms, num_qubits)
         self._num_measured_terms = int(
-            np.count_nonzero(~self._identity_mask & (self._coefficients != 0))
+            np.count_nonzero(~self._tables.identity_mask & (real_coefficients != 0))
         )
 
     # -- properties -----------------------------------------------------------
@@ -194,12 +237,12 @@ class CompiledPauliOperator:
     @property
     def weights(self) -> np.ndarray:
         """Number of non-identity factors per term (copy)."""
-        return self._weights.copy()
+        return self._tables.weights.copy()
 
     @property
     def identity_mask(self) -> np.ndarray:
         """Boolean mask of all-identity terms (copy)."""
-        return self._identity_mask.copy()
+        return self._tables.identity_mask.copy()
 
     @property
     def num_measured_terms(self) -> int:
@@ -216,14 +259,14 @@ class CompiledPauliOperator:
         :attr:`paulis`.
         """
         psi = _as_amplitudes(state)
-        if psi.size != self._indices.size:
-            raise ValueError(
-                f"state has {psi.size} amplitudes, engine expects {self._indices.size}"
-            )
+        dim = 1 << self._num_qubits
+        if psi.size != dim:
+            raise ValueError(f"state has {psi.size} amplitudes, engine expects {dim}")
         if not self._paulis:
             return np.zeros(0)
-        gathered = np.conj(psi)[self._perm] * self._signs
-        return np.real(self._prefactors * _term_products(gathered, psi))
+        ext = (np.conj(psi) * _EXT_SIGNS).ravel()
+        gathered = ext[self._tables.signed_perm]
+        return np.real(self._tables.prefactors * _term_products(gathered, psi))
 
     def expectation_values_batch(self, states) -> np.ndarray:
         """Term values for several states: shape ``(num_states, num_terms)``.
@@ -245,23 +288,26 @@ class CompiledPauliOperator:
         """``tr(rho P_t)`` for every term, from a dense density matrix.
 
         Uses ``tr(rho P_t) = i^{n_Y} sum_b s_t[b] rho[b, b ^ f_t]`` — a single
-        fancy-indexed gather per call instead of dense matrix products.
+        fancy-indexed gather per call instead of dense matrix products.  The
+        flip index and the sign are split back out of the signed index table.
         """
         rho = np.asarray(rho, dtype=complex)
-        dim = self._indices.size
+        dim = 1 << self._num_qubits
         if rho.shape != (dim, dim):
             raise ValueError(f"density matrix must have shape ({dim}, {dim})")
         if not self._paulis:
             return np.zeros(0)
-        gathered = rho[self._indices[None, :], self._perm] * self._signs
-        return np.real(self._prefactors * gathered.sum(axis=1))
+        signed_perm = self._tables.signed_perm
+        signs = 1.0 - 2.0 * (signed_perm >> self._num_qubits).astype(float)
+        gathered = rho[np.arange(dim)[None, :], signed_perm & (dim - 1)] * signs
+        return np.real(self._tables.prefactors * gathered.sum(axis=1))
 
 
 class _PerTermPauliEvaluator:
     """Per-term fallback with the :class:`CompiledPauliOperator` interface.
 
-    Used above :data:`_MAX_COMPILED_QUBITS`, where the compiled O(terms × 2^n)
-    tables would dwarf the statevector itself.  Evaluation loops over terms
+    Used above :data:`_MAX_COMPILED_QUBITS`, where the O(terms × 2^n) signed
+    index table would dwarf the statevector itself.  Evaluation loops over terms
     (each term is still a vectorized NumPy pass over the amplitudes).
     """
 
@@ -335,7 +381,7 @@ def pauli_evaluator(
     """Best evaluator for a term list: compiled when feasible, per-term beyond.
 
     Falls back to the per-term evaluator past the qubit cap or when the
-    compiled tables (``num_terms * 2^n`` elements) would exceed the memory
+    signed index table (``num_terms * 2^n`` elements) would exceed the memory
     budget.  Both returned types share the evaluation interface
     (``expectation_values`` / ``expectation_values_batch`` / ``expectation`` /
     ``expectation_values_density`` plus the term-order properties), so callers

@@ -270,17 +270,31 @@ _EMBEDDINGS = {
     for axes in itertools.permutations(range(width), size)
 }
 
+#: The matrix of every parameterless gate, keyed by name.
+_GATE_MATRICES = {
+    gate: gate_matrix(gate)
+    for gate, definition in GATE_REGISTRY.items()
+    if definition.num_params == 0
+}
+
+#: The gates whose single angle has a vectorized builder
+#: (:func:`~repro.quantum.gates.batched_rotation_matrices`).
+_ROTATION_GATES = frozenset(
+    gate for gate in GATE_REGISTRY if batched_rotation_matrices(gate, np.zeros(1)) is not None
+)
+
 #: Every parameterless gate on every local axes of every block width, as the
 #: block's matrix, keyed ``(gate, axes, width)``; ``("i", (0,), k)`` is the
 #: block identity.
 _EMBEDDED_GATES = {
-    (gate, axes, width): gate_matrix(gate)[rows, columns] * mask
-    for gate, definition in GATE_REGISTRY.items()
-    if definition.num_params == 0
+    (gate, axes, width): matrix[rows, columns] * mask
+    for gate, matrix in _GATE_MATRICES.items()
     for (axes, width), (rows, columns, mask) in _EMBEDDINGS.items()
-    if len(axes) == definition.num_qubits
+    if len(axes) == GATE_REGISTRY[gate].num_qubits
 }
-for _array in itertools.chain(*_EMBEDDINGS.values(), _EMBEDDED_GATES.values()):
+for _array in itertools.chain(
+    *_EMBEDDINGS.values(), _EMBEDDED_GATES.values(), _GATE_MATRICES.values()
+):
     _array.flags.writeable = False
 
 
@@ -610,19 +624,17 @@ def _entry_kind_and_matrix(
     gates still built via the vectorized builder, so constants and slots run
     the same elementwise computation); a single slotted angle with a
     vectorized builder becomes one builder call over the whole batch; anything
-    else falls back to per-row ``gate_matrix``.
+    else falls back to per-row ``gate_matrix``.  A parameterless gate's
+    matrix is its shared read-only entry of :data:`_GATE_MATRICES`, which
+    :func:`_entry_matrices` only ever copies.
     """
     if all(spec[0] == _CONST for spec in specs):
-        if len(specs) == 1:
-            stacked = batched_rotation_matrices(gate, np.array([specs[0][1]]))
-            if stacked is not None:
-                return _FIXED, stacked[0]
+        if not specs and gate in _GATE_MATRICES:
+            return _FIXED, _GATE_MATRICES[gate]
+        if len(specs) == 1 and gate in _ROTATION_GATES:
+            return _FIXED, batched_rotation_matrices(gate, np.array([specs[0][1]]))[0]
         return _FIXED, gate_matrix(gate, *(spec[1] for spec in specs))
-    if (
-        len(specs) == 1
-        and specs[0][0] == _SLOT
-        and batched_rotation_matrices(gate, np.zeros(1)) is not None
-    ):
+    if len(specs) == 1 and specs[0][0] == _SLOT and gate in _ROTATION_GATES:
         return _ROTATION, None
     return _GENERIC, None
 

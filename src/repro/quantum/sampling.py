@@ -364,18 +364,6 @@ class SamplingEstimator(BaseEstimator):
         return results
 
 
-def _bit_table(outcomes: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Bit value of each qubit for each sampled outcome (qubit 0 = MSB).
-
-    This is the reference sign evaluation the measurement plan's mask-parity
-    path is tested against; the shift broadcast replaces the old per-column
-    Python loop.
-    """
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    shifts = np.arange(num_qubits - 1, -1, -1, dtype=np.int64)
-    return ((outcomes[:, None] >> shifts[None, :]) & 1).astype(float)
-
-
 class DensityMatrixEstimator(BaseEstimator):
     """Noisy expectation values via density-matrix simulation (paper §8.7).
 

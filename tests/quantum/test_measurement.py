@@ -27,7 +27,7 @@ from repro.quantum.measurement import (
     set_measurement_plan_cache_limit,
 )
 from repro.quantum.pauli import PauliOperator
-from repro.quantum.sampling import SamplingEstimator, _bit_table
+from repro.quantum.sampling import SamplingEstimator
 from repro.quantum.statevector import Statevector
 
 # -- strategies ------------------------------------------------------------------
@@ -60,6 +60,17 @@ def _random_state(num_qubits: int, seed: int) -> Statevector:
     rng = np.random.default_rng(seed)
     amplitudes = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return Statevector(amplitudes / np.linalg.norm(amplitudes))
+
+
+def _bit_table(outcomes: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Bit value of each qubit for each sampled outcome (qubit 0 = MSB).
+
+    This is the reference sign evaluation the measurement plan's mask-parity
+    path is tested against.
+    """
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    shifts = np.arange(num_qubits - 1, -1, -1, dtype=np.int64)
+    return ((outcomes[:, None] >> shifts[None, :]) & 1).astype(float)
 
 
 def _legacy_group_values(plan, group, outcomes: np.ndarray) -> np.ndarray:
